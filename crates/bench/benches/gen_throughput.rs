@@ -4,8 +4,8 @@
 //! wall-clock campaign time (dominated by compilation and validation, not
 //! generation).  This bench measures raw generator throughput, the
 //! end-to-end per-program cost of the full local pipeline, and — the
-//! headline numbers — the parallel campaign engine's throughput scaling
-//! across `--jobs` and the speedup from incremental solver reuse.
+//! headline number — the parallel campaign engine's throughput scaling
+//! across `--jobs`.
 //!
 //! Run with `cargo bench --bench gen_throughput`.
 
@@ -50,9 +50,8 @@ fn bench_generation(c: &mut Criterion) {
     group.finish();
 }
 
-/// The campaign-engine comparison: throughput at increasing `--jobs`, and
-/// incremental vs from-scratch validation.  Printed as a table so the
-/// reproduction guide can quote it directly.
+/// The campaign-engine comparison: throughput at increasing `--jobs`.
+/// Printed as a table so the reproduction guide can quote it directly.
 fn campaign_scaling(_c: &mut Criterion) {
     const SEEDS: usize = 200;
     let base = HuntConfig {
@@ -90,31 +89,6 @@ fn campaign_scaling(_c: &mut Criterion) {
             ),
         }
     }
-
-    println!();
-    println!("incremental validation-chain reuse (--jobs 1, same {SEEDS} programs):");
-    let fresh = ParallelCampaign::new(HuntConfig {
-        incremental: false,
-        ..base.clone()
-    })
-    .run(Compiler::reference);
-    let incremental = ParallelCampaign::new(base).run(Compiler::reference);
-    assert_eq!(
-        fresh.render(),
-        incremental.render(),
-        "incremental and from-scratch validation must agree"
-    );
-    println!(
-        "  from-scratch: {:>8.1} programs/s  ({:?})",
-        fresh.throughput(),
-        fresh.elapsed
-    );
-    println!(
-        "  incremental:  {:>8.1} programs/s  ({:?}, {:.2}x)",
-        incremental.throughput(),
-        incremental.elapsed,
-        incremental.throughput() / fresh.throughput().max(f64::MIN_POSITIVE)
-    );
 }
 
 criterion_group!(benches, bench_generation, campaign_scaling);

@@ -24,7 +24,7 @@ use gauntlet_telemetry::{json, EventLog, Heartbeat, ProgressSink, Recorder, Stag
 use p4_gen::{GeneratorConfig, RandomProgramGenerator, WeightAdapter};
 use p4_ir::{print_program, ConstructCensus, Program};
 use p4_mutate::{hunt_mutation_seed, MetamorphicChecker, MetamorphicOptions, MutationCoverage};
-use p4_symbolic::{CacheStats, CampaignCache, EpochCache, SessionStats, ValidationSession};
+use p4_symbolic::{CacheStats, CampaignCache, SessionStats, ValidationSession};
 use p4c::coverage::PassCoverage;
 use serde::{Deserialize, Serialize};
 use smt::PortfolioOptions;
@@ -327,9 +327,6 @@ pub struct HuntConfig {
     /// stopping point does not depend on the schedule (workers may *process*
     /// a few extra seeds past it, but never commit them).
     pub bug_quota: Option<usize>,
-    /// Validate pass chains incrementally (see
-    /// [`GauntletOptions::incremental`]).
-    pub incremental: bool,
     /// Delta-debug every committed finding down to a minimal reproducer
     /// (paper §7: all 96 upstream reports were filed as reduced programs).
     /// Reduction runs on the worker that found the bug — sharded across the
@@ -358,16 +355,6 @@ pub struct HuntConfig {
     /// findings commit at the ordered-commit point, so reports stay
     /// byte-identical at any `--jobs`.
     pub mutation: Option<MetamorphicOptions>,
-    /// Share one [`CampaignCache`] across the worker pool (the `--cache`
-    /// knob), living for the whole campaign: semantics are interpreted and
-    /// per-block equivalence queries decided once per campaign no matter
-    /// which worker — or which epoch — gets there first.  Growth is bounded
-    /// by a deterministic eviction sweep at each epoch barrier
-    /// ([`CampaignCache::epoch_barrier`]).  Cached SAT verdicts carry
-    /// canonical models, so the rendered report is byte-identical with the
-    /// cache on or off, at any `--jobs`.  On by default — this is where the
-    /// campaign validate-throughput comes from (see `BENCH_pr9.json`).
-    pub epoch_cache: bool,
     /// Race each hard equivalence query across K diverse SAT configurations
     /// once its incremental solve exceeds a conflict budget (the
     /// `--portfolio` knob, see [`smt::PortfolioOptions`]).  Off by default:
@@ -394,12 +381,10 @@ impl Default for HuntConfig {
             seed_count: 100,
             generator: GeneratorConfig::tiny(),
             bug_quota: None,
-            incremental: true,
             reduce_reports: false,
             targets: Vec::new(),
             coverage: None,
             mutation: None,
-            epoch_cache: true,
             portfolio: false,
             telemetry: None,
         }
@@ -656,7 +641,7 @@ impl DiversitySummary {
     }
 }
 
-/// The epoch-cache block of a hunt report: pool-wide memo counters summed
+/// The campaign-cache block of a hunt report: pool-wide memo counters summed
 /// over every epoch, plus the per-worker session tallies summed over every
 /// worker (the two reconcile at the lookup level — see
 /// `tests/perf_cache.rs`).
@@ -668,7 +653,8 @@ impl DiversitySummary {
 /// deliberately excluded from [`HuntReport::render`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheSummary {
-    /// Epochs that ran with a shared cache (0 when `epoch_cache` is off).
+    /// Epochs the hunt ran (every epoch validates through the shared
+    /// campaign cache).
     pub epochs: usize,
     /// Exact pool-wide cache counters, summed across epochs.
     pub stats: CacheStats,
@@ -721,9 +707,10 @@ pub struct HuntReport {
     /// one; the fleet coordinator fills it in on the merged report when the
     /// spec enables worker diversity.
     pub diversity: Option<DiversitySummary>,
-    /// Epoch-cache and portfolio counters (present iff
-    /// [`HuntConfig::epoch_cache`] or [`HuntConfig::portfolio`] was set).
-    /// Run-descriptive like `elapsed`: not part of [`HuntReport::render`].
+    /// Campaign-cache and portfolio counters.  [`ParallelCampaign`] always
+    /// fills it in; it stays optional for reports assembled elsewhere (a
+    /// fleet merge of cache-less fragments).  Run-descriptive like
+    /// `elapsed`: not part of [`HuntReport::render`].
     pub cache: Option<CacheSummary>,
     /// The aggregated flight recorder (present iff
     /// [`HuntConfig::telemetry`] was set): stage spans, per-pass and
@@ -993,14 +980,14 @@ struct HuntCommit {
 impl HuntCommit {
     /// Drains the contiguous prefix of `pending`, committing results in
     /// strict seed order (reports, coverage merge, corpus admission, quota
-    /// early stop).  `telemetry` and `epoch_cache` are observation-only:
-    /// they emit seed/bug events and the heartbeat but never influence what
+    /// early stop).  `telemetry` and `cache` are observation-only: they
+    /// emit seed/bug events and the heartbeat but never influence what
     /// commits.
     fn drain(
         &mut self,
         config: &HuntConfig,
         telemetry: Option<&HuntTelemetry>,
-        epoch_cache: Option<&Arc<EpochCache>>,
+        cache: &CampaignCache,
     ) {
         while !self.stopped {
             let commit_index = self.next;
@@ -1092,12 +1079,10 @@ impl HuntCommit {
                         0.0
                     };
                     let remaining = config.seed_count.saturating_sub(self.programs_checked);
-                    let cache_hit_rate = epoch_cache.and_then(|cache| {
-                        let stats = cache.stats();
-                        let lookups = stats.semantics_lookups() + stats.verdict_lookups();
-                        (lookups > 0).then(|| {
-                            (stats.semantics_hits + stats.verdict_hits) as f64 / lookups as f64
-                        })
+                    let stats = cache.stats();
+                    let lookups = stats.semantics_lookups() + stats.verdict_lookups();
+                    let cache_hit_rate = (lookups > 0).then(|| {
+                        (stats.semantics_hits + stats.verdict_hits) as f64 / lookups as f64
                     });
                     telemetry.progress.heartbeat(&Heartbeat {
                         done: self.programs_checked,
@@ -1155,10 +1140,9 @@ impl ParallelCampaign {
     /// caller-owned [`CampaignCache`] that outlives this run.  Fleet workers
     /// use this to keep one warm cache across every shard they are leased
     /// (workers are long-lived; rebuilding the memos per shard threw the
-    /// warm state away).  The cache is consulted only when
-    /// [`HuntConfig::epoch_cache`] is on, and the report's [`CacheSummary`]
-    /// accounts this run's activity as a snapshot delta, so stats stay
-    /// per-run even though the cache is not.
+    /// warm state away).  The report's [`CacheSummary`] accounts this run's
+    /// activity as a snapshot delta, so stats stay per-run even though the
+    /// cache is not.
     pub fn run_with_cache<F>(&self, factory: F, external: Option<Arc<CampaignCache>>) -> HuntReport
     where
         F: Fn() -> p4c::Compiler + Send + Sync,
@@ -1191,7 +1175,6 @@ impl ParallelCampaign {
                     ("targets", config.targets.len().to_string()),
                     ("coverage", config.coverage.is_some().to_string()),
                     ("mutation", config.mutation.is_some().to_string()),
-                    ("epoch_cache", config.epoch_cache.to_string()),
                     ("portfolio", config.portfolio.to_string()),
                 ],
             );
@@ -1230,10 +1213,7 @@ impl ParallelCampaign {
             // first epoch's weights already steer toward the genuinely
             // uncovered rules.
             let compiler = factory();
-            let gauntlet = Gauntlet::new(GauntletOptions {
-                incremental: config.incremental,
-                ..GauntletOptions::default()
-            });
+            let gauntlet = Gauntlet::default();
             let mut replay_checker = config
                 .mutation
                 .as_ref()
@@ -1332,20 +1312,15 @@ impl ParallelCampaign {
         });
         let processed_counts = Mutex::new(vec![0usize; jobs]);
         let tallies = Mutex::new(SessionTally::default());
-        let mut cache_epochs = 0usize;
+        let mut epochs = 0usize;
 
         // One campaign-lifetime cache (PR 9; previously rebuilt per epoch):
         // the semantics/verdict memos and the hash-consing term manager
         // survive epoch boundaries, bounded by the barrier sweep below.  A
         // caller-provided cache outlives even this run (fleet workers reuse
         // it across shards), so all per-run stats are snapshot deltas.
-        let campaign_cache = config
-            .epoch_cache
-            .then(|| external.unwrap_or_else(|| Arc::new(CampaignCache::new())));
-        let cache_base = campaign_cache
-            .as_ref()
-            .map(|cache| cache.stats())
-            .unwrap_or_default();
+        let cache = external.unwrap_or_else(|| Arc::new(CampaignCache::new()));
+        let cache_base = cache.stats();
         let mut cache_epoch_base = cache_base;
 
         let adapter = WeightAdapter::default();
@@ -1385,13 +1360,11 @@ impl ParallelCampaign {
                 &commit,
                 &processed_counts,
                 jobs,
-                campaign_cache.as_ref(),
+                &cache,
                 &tallies,
                 telemetry.as_ref(),
             );
-            if campaign_cache.is_some() {
-                cache_epochs += 1;
-            }
+            epochs += 1;
             let mut state = commit.lock().expect("hunt lock");
             let programs_checked = state.programs_checked;
             let bugs_so_far = state.bugs;
@@ -1411,32 +1384,28 @@ impl ParallelCampaign {
                         ("bugs", bugs_so_far.to_string()),
                     ],
                 );
-                if let Some(cache) = &campaign_cache {
-                    // This epoch's activity: the cache is campaign-lived,
-                    // so the per-epoch view is a snapshot delta.
-                    let stats = cache.stats().since(&cache_epoch_base);
-                    telemetry.emit(
-                        "cache",
-                        &[
-                            ("epoch", epoch_index.to_string()),
-                            ("semantics_hits", stats.semantics_hits.to_string()),
-                            ("semantics_misses", stats.semantics_misses.to_string()),
-                            ("verdict_hits", stats.verdict_hits.to_string()),
-                            ("verdict_misses", stats.verdict_misses.to_string()),
-                            ("evicted_entries", cache.evicted_entries().to_string()),
-                            ("manager_resets", cache.manager_resets().to_string()),
-                        ],
-                    );
-                }
+                // This epoch's activity: the cache is campaign-lived, so the
+                // per-epoch view is a snapshot delta.
+                let stats = cache.stats().since(&cache_epoch_base);
+                telemetry.emit(
+                    "cache",
+                    &[
+                        ("epoch", epoch_index.to_string()),
+                        ("semantics_hits", stats.semantics_hits.to_string()),
+                        ("semantics_misses", stats.semantics_misses.to_string()),
+                        ("verdict_hits", stats.verdict_hits.to_string()),
+                        ("verdict_misses", stats.verdict_misses.to_string()),
+                        ("evicted_entries", cache.evicted_entries().to_string()),
+                        ("manager_resets", cache.manager_resets().to_string()),
+                    ],
+                );
             }
-            if let Some(cache) = &campaign_cache {
-                cache_epoch_base = cache.stats();
-                // The epoch barrier: evict least-recently-hit generations
-                // (and reset the term manager when over the interpretation
-                // budget) while no session is live — the worker scope above
-                // joined, and next epoch's sessions are created fresh.
-                cache.epoch_barrier();
-            }
+            cache_epoch_base = cache.stats();
+            // The epoch barrier: evict least-recently-hit generations (and
+            // reset the term manager when over the interpretation budget)
+            // while no session is live — the worker scope above joined, and
+            // next epoch's sessions are created fresh.
+            cache.epoch_barrier();
             epoch_start = epoch_end;
         }
 
@@ -1465,21 +1434,16 @@ impl ParallelCampaign {
                 pairs_total: p4c::coverage::total_pairs(),
             }
         });
-        let cache = (config.epoch_cache || config.portfolio).then(|| {
-            let tally = tallies.into_inner().expect("tally lock");
-            CacheSummary {
-                epochs: cache_epochs,
-                // This run's activity only: a worker-lifetime cache carries
-                // counters from earlier shard runs, which belong to those
-                // runs' reports.
-                stats: campaign_cache
-                    .as_ref()
-                    .map(|cache| cache.stats().since(&cache_base))
-                    .unwrap_or_default(),
-                sessions: tally.sessions,
-                portfolio_races: tally.portfolio_races,
-            }
-        });
+        let tally = tallies.into_inner().expect("tally lock");
+        let summary = CacheSummary {
+            epochs,
+            // This run's activity only: a worker-lifetime cache carries
+            // counters from earlier shard runs, which belong to those runs'
+            // reports.
+            stats: cache.stats().since(&cache_base),
+            sessions: tally.sessions,
+            portfolio_races: tally.portfolio_races,
+        };
         let telemetry_summary = telemetry.map(|telemetry| {
             // Fold in the main thread's recorder (the corpus replay), then
             // restore whatever recorder enclosed this hunt.
@@ -1509,7 +1473,7 @@ impl ParallelCampaign {
             coverage,
             mutation,
             diversity: None,
-            cache,
+            cache: Some(summary),
             telemetry: telemetry_summary,
         }
     }
@@ -1528,7 +1492,7 @@ impl ParallelCampaign {
         commit: &Mutex<HuntCommit>,
         processed_counts: &Mutex<Vec<usize>>,
         jobs: usize,
-        epoch_cache: Option<&Arc<EpochCache>>,
+        cache: &Arc<CampaignCache>,
         tallies: &Mutex<SessionTally>,
         telemetry: Option<&HuntTelemetry>,
     ) where
@@ -1546,10 +1510,7 @@ impl ParallelCampaign {
                     if telemetry.is_some() {
                         gauntlet_telemetry::install(Recorder::new());
                     }
-                    let gauntlet = Gauntlet::new(GauntletOptions {
-                        incremental: config.incremental,
-                        ..GauntletOptions::default()
-                    });
+                    let gauntlet = Gauntlet::default();
                     let compiler = factory();
                     // Each worker builds its own target instances (targets
                     // are stateless between programs, but not `Sync`).
@@ -1560,10 +1521,10 @@ impl ParallelCampaign {
                         .map(|spec| registry.build_spec(spec).expect("specs validated above"))
                         .collect();
                     // Translation-validation sessions are created fresh per
-                    // program but attached to the pool's shared epoch cache
-                    // when caching is on: the memoisation layers (semantics,
-                    // verdicts, terms) live in the cache and survive the
-                    // session, while the solver stays small — a long-lived
+                    // program but attached to the pool's shared campaign
+                    // cache: the memoisation layers (semantics, verdicts,
+                    // terms) live in the cache and survive the session,
+                    // while the solver stays small — a long-lived
                     // solver accumulates variables and learned clauses
                     // across unrelated programs and measurably *slows down*
                     // (see the cold run of the `trajectory` bench).
@@ -1572,17 +1533,14 @@ impl ParallelCampaign {
                     // One metamorphic checker per worker: its validation
                     // session (semantics cache + incremental solver) is
                     // reused across every seed the worker claims — and
-                    // attached to the same epoch cache as the session
+                    // attached to the same campaign cache as the session
                     // above, so the two dimensions share interpretations.
                     // Verdicts are cache-independent, so sharing preserves
                     // the byte-identical-across-jobs contract.
-                    let mut mutation_checker =
-                        config.mutation.as_ref().map(|_| match epoch_cache {
-                            Some(cache) => {
-                                MetamorphicChecker::with_cache(factory(), Arc::clone(cache))
-                            }
-                            None => MetamorphicChecker::new(factory()),
-                        });
+                    let mut mutation_checker = config
+                        .mutation
+                        .as_ref()
+                        .map(|_| MetamorphicChecker::with_cache(factory(), Arc::clone(cache)));
                     if config.portfolio {
                         if let Some(checker) = &mut mutation_checker {
                             checker.set_portfolio(PortfolioOptions::default());
@@ -1602,19 +1560,12 @@ impl ParallelCampaign {
                             RandomProgramGenerator::new(generator_config.clone(), seed);
                         let program = gauntlet_telemetry::time(Stage::Gen, || generator.generate());
                         // Fresh session per program (see the policy note
-                        // above); `None` preserves the historical
-                        // session-per-program path inside the pipeline when
-                        // neither knob is set.
-                        let mut session: Option<ValidationSession> = match epoch_cache {
-                            Some(cache) => Some(ValidationSession::with_cache(Arc::clone(cache))),
-                            None if config.portfolio => Some(ValidationSession::new()),
-                            None => None,
-                        };
+                        // above).
+                        let mut session = ValidationSession::with_cache(Arc::clone(cache));
                         if config.portfolio {
-                            if let Some(session) = &mut session {
-                                session.set_portfolio(PortfolioOptions::default());
-                            }
+                            session.set_portfolio(PortfolioOptions::default());
                         }
+                        let mut session = Some(session);
                         // The coverage sink wraps the open-compiler check
                         // only: pass-rule coverage means the front/mid-end
                         // pipeline, and a replayed corpus entry re-fires
@@ -1727,7 +1678,7 @@ impl ParallelCampaign {
                                 mutated,
                             },
                         );
-                        state.drain(config, telemetry, epoch_cache);
+                        state.drain(config, telemetry, cache);
                     }
                     processed_counts.lock().expect("count lock")[worker] += processed;
                     let mut tally = tallies.lock().expect("tally lock");

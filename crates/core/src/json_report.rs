@@ -536,7 +536,6 @@ mod tests {
     fn report_json_round_trips_through_the_parser() {
         let hunt = ParallelCampaign::new(HuntConfig {
             seed_count: 4,
-            epoch_cache: false,
             ..HuntConfig::default()
         })
         .run(p4c::Compiler::reference);
@@ -559,7 +558,14 @@ mod tests {
             run.get("elapsed_us").and_then(|n| n.as_u64()),
             Some(hunt.elapsed.as_micros() as u64)
         );
-        assert_eq!(run.get("cache"), Some(&json::Json::Null));
+        // The engine always validates through its campaign cache, so the
+        // cache block is an object that parses back to the same summary.
+        let cache = run.get("cache").expect("run.cache present");
+        assert!(matches!(cache, json::Json::Object(_)), "{cache:?}");
+        assert_eq!(
+            cache_summary_from_json(cache).expect("cache block parses"),
+            hunt.cache.expect("the engine fills the cache summary")
+        );
         assert_eq!(run.get("telemetry"), Some(&json::Json::Null));
         // And the result half is exactly the deterministic document.
         assert_eq!(
@@ -576,7 +582,6 @@ mod tests {
     fn deterministic_half_round_trips_through_the_struct() {
         let hunt = ParallelCampaign::new(HuntConfig {
             seed_count: 8,
-            epoch_cache: false,
             coverage: Some(crate::campaign::CoverageOptions {
                 adapt: false,
                 ..Default::default()

@@ -19,9 +19,7 @@ use p4_mutate::{
     MutationCoverage,
 };
 use p4_reduce::{CrashOracle, Oracle, Reducer, ReducerConfig, SemanticOracle};
-use p4_symbolic::{
-    check_equivalence, generate_tests, Equivalence, EquivalenceError, ValidationSession,
-};
+use p4_symbolic::{generate_tests, Equivalence, EquivalenceError, ValidationSession};
 use p4c::{CompileError, CompileResult, Compiler, PassArea};
 use smt::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -74,12 +72,6 @@ fn area_of_pass(pass_name: &str) -> CompilerArea {
 pub struct GauntletOptions {
     /// Maximum tests generated per program for black-box back ends.
     pub max_tests: usize,
-    /// Validate the pass chain incrementally: interpret each snapshot once
-    /// (adjacent checks share it) and decide all queries with one
-    /// incremental solver.  Disable to force the paper's naive
-    /// re-interpret-and-re-bitblast-per-pair behaviour, e.g. for the
-    /// before/after comparison in the `gen_throughput` bench.
-    pub incremental: bool,
     /// Budget for [`Gauntlet::reduce_report`] (and campaigns that enable
     /// report reduction).
     pub reducer: ReducerConfig,
@@ -89,7 +81,6 @@ impl Default for GauntletOptions {
     fn default() -> Self {
         GauntletOptions {
             max_tests: 8,
-            incremental: true,
             reducer: ReducerConfig::default(),
         }
     }
@@ -151,12 +142,11 @@ impl Gauntlet {
         self.check_open_compiler_in(&mut None, compiler, program)
     }
 
-    /// [`Gauntlet::check_open_compiler`] with an explicit (optional)
-    /// validation session: campaign workers hold one session per epoch —
-    /// attached to the pool's shared `p4_symbolic::EpochCache` — so
-    /// semantics and verdicts memoise across every program the pool checks.
-    /// With `None` the per-program session policy of
-    /// [`Gauntlet::validate_translation`] applies unchanged.
+    /// [`Gauntlet::check_open_compiler`] with an explicit validation
+    /// session: campaign workers attach every session to the pool's shared
+    /// `p4_symbolic::CampaignCache`, so semantics and verdicts memoise
+    /// across every program the pool checks.  A `None` session is replaced
+    /// by a fresh, uncached one (see [`Gauntlet::validate_translation_in`]).
     pub fn check_open_compiler_in(
         &self,
         session: &mut Option<ValidationSession>,
@@ -190,10 +180,7 @@ impl Gauntlet {
                 )])
             }
             Ok(result) => {
-                let reports = match session {
-                    Some(_) => self.validate_translation_in(session, &result),
-                    None => self.validate_translation(&result),
-                };
+                let reports = self.validate_translation_in(session, &result);
                 let mut outcome = ProgramOutcome::with_reports(reports);
                 outcome.compiled = Some(result.program);
                 outcome
@@ -204,28 +191,24 @@ impl Gauntlet {
     /// Translation validation over the per-pass snapshots of a successful
     /// compilation (paper §5.2).
     ///
-    /// With [`GauntletOptions::incremental`] set (the default), the chain
-    /// p₀ ≡ p₁ ≡ … ≡ pₙ is validated through one [`ValidationSession`]:
-    /// every snapshot is interpreted once and serves as both the right-hand
-    /// side of one check and the left-hand side of the next, and all
-    /// equivalence queries share one incremental solver.
+    /// The chain p₀ ≡ p₁ ≡ … ≡ pₙ is validated through one
+    /// [`ValidationSession`]: every snapshot is interpreted once and serves
+    /// as both the right-hand side of one check and the left-hand side of
+    /// the next, and all equivalence queries share one incremental solver.
     pub fn validate_translation(&self, result: &CompileResult) -> Vec<BugReport> {
-        let mut session = if self.options.incremental {
-            Some(ValidationSession::new())
-        } else {
-            None
-        };
-        self.validate_translation_in(&mut session, result)
+        self.validate_translation_in(&mut None, result)
     }
 
-    /// Translation validation with an explicit (optional) session, allowing
-    /// callers to share incremental state across *programs* as well as
-    /// across the passes of one program.
+    /// Translation validation through `session`, allowing callers to share
+    /// incremental state across *programs* as well as across the passes of
+    /// one program.  A `None` session is filled with a fresh, uncached
+    /// [`ValidationSession`] that the caller may keep using.
     pub fn validate_translation_in(
         &self,
         session: &mut Option<ValidationSession>,
         result: &CompileResult,
     ) -> Vec<BugReport> {
+        let session = session.get_or_insert_with(ValidationSession::new);
         let mut reports = Vec::new();
         for (before, after) in result.pass_pairs() {
             // Re-parse the emitted program; a parse failure is an invalid
@@ -241,11 +224,7 @@ impl Gauntlet {
                 ));
                 continue;
             }
-            let verdict = match session.as_mut() {
-                Some(session) => session.check_pair(&before.program, &after.program),
-                None => check_equivalence(&before.program, &after.program),
-            };
-            match verdict {
+            match session.check_pair(&before.program, &after.program) {
                 Ok(Equivalence::Equal) => {}
                 Ok(Equivalence::NotEqual(counterexample)) => {
                     reports.push(BugReport::new(

@@ -117,6 +117,9 @@ struct WorkerSlot {
     lease: Option<(usize, Instant)>,
     /// Fragments this slot has delivered (across generations).
     delivered: usize,
+    /// Programs checked in the fragments this slot delivered first (a
+    /// duplicate delivery of a reassigned shard is not counted).
+    programs: usize,
 }
 
 /// Run a fresh fleet campaign.
@@ -241,6 +244,7 @@ impl Coordinator {
                 generation: 0,
                 lease: None,
                 delivered: 0,
+                programs: 0,
             });
         }
         let state = &mut self.slots[slot];
@@ -380,6 +384,7 @@ impl Coordinator {
         }
         self.fragments.insert(shard, body);
         self.arrival.push(shard);
+        self.slots[slot].programs += partial.programs_checked;
         self.since_checkpoint += 1;
         self.emit(
             "shard_done",
@@ -649,6 +654,12 @@ impl Coordinator {
         self.shutdown_all();
         let (mut report, corpus) =
             merge::merge(&self.options.spec, &self.fragments, &self.arrival)?;
+        // The run-descriptive half: this coordinator's wall clock, and the
+        // programs each slot delivered (fragments preloaded from a
+        // checkpoint were delivered by an earlier run, so after a resume the
+        // slots sum to less than `programs_checked`).
+        report.elapsed = self.started.elapsed();
+        report.per_worker = self.slots.iter().map(|slot| slot.programs).collect();
         if self.options.spec.diversity {
             // Per-configuration distinct-bug yield, derived from the merged
             // triage store: a slice is credited for every distinct bug whose

@@ -294,6 +294,8 @@ pub fn merge(
         outcomes,
         programs_checked,
         total_bugs,
+        // Run-descriptive: the coordinator fills in its own wall clock and
+        // per-slot loads.
         elapsed: Duration::ZERO,
         per_worker: Vec::new(),
         reduction_failures,
@@ -478,8 +480,8 @@ mod tests {
                 cache_json(&part)
             )),
         );
-        // A cache-less fragment (a worker run with the cache off) still
-        // merges; it just contributes nothing.
+        // A fragment without a cache block still merges; it just
+        // contributes nothing.
         fragments.insert(2, body(&format!("{{{EMPTY_RESULT}}}")));
         let spec = FleetSpec::default();
         let (report, _) = merge(&spec, &fragments, &[]).expect("merge");

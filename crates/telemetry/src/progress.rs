@@ -15,7 +15,7 @@ pub struct Heartbeat {
     pub bugs: usize,
     /// Committed seeds per second since campaign start.
     pub seeds_per_sec: f64,
-    /// Epoch-cache hit rate over all lookups, when a cache is attached.
+    /// Campaign-cache hit rate over all lookups, once any lookup happened.
     pub cache_hit_rate: Option<f64>,
     /// Estimated seconds remaining at the current rate.
     pub eta_secs: Option<f64>,

@@ -9,7 +9,7 @@
 //! ```text
 //! cargo run --release --example bug_campaign -- [--jobs N] [--programs-per-bug P] \
 //!     [--hunt-seeds S] [--coverage 1] [--corpus PATH] [--mutate 1] \
-//!     [--mutations-per-seed M] [--cache 0] [--portfolio 1] \
+//!     [--mutations-per-seed M] [--portfolio 1] \
 //!     [--events PATH] [--report PATH] [--quiet]
 //! ```
 //!
@@ -22,10 +22,9 @@
 //! compiled forms are proved equivalent to the compiled seed, the report
 //! gains a mutation block, and a hunt against a compiler with seeded
 //! pre-snapshot corruption demonstrates a detection translation validation
-//! provably cannot make.  `--cache 0` disables the pool-shared epoch
-//! validation cache (on by default; reports are identical either way) and
-//! `--portfolio 1` races hard equivalence queries across diverse SAT
-//! configurations.
+//! provably cannot make.  `--portfolio 1` races hard equivalence queries
+//! across diverse SAT configurations.  An unknown flag or an unparsable
+//! value exits with status 2.
 //!
 //! Observability (all strictly observation-only — stdout stays
 //! byte-identical): `--events PATH` writes a `gauntlet-events-v1` JSONL
@@ -39,44 +38,40 @@ use gauntlet_core::{
 };
 use gauntlet_telemetry::ProgressSink;
 
-fn parse_flag(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn parse_string_flag(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn has_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
+#[path = "common/flags.rs"]
+mod flags;
 
 fn main() {
-    let jobs = parse_flag("--jobs", 1);
-    let random_programs_per_bug = parse_flag("--programs-per-bug", 2);
-    let hunt_seeds = parse_flag("--hunt-seeds", 100);
-    let coverage = if parse_flag("--coverage", 0) != 0 {
+    let flags = flags::Flags::parse(
+        &[
+            "--jobs",
+            "--programs-per-bug",
+            "--hunt-seeds",
+            "--coverage",
+            "--corpus",
+            "--mutate",
+            "--mutations-per-seed",
+            "--portfolio",
+            "--events",
+            "--report",
+        ],
+        &["--quiet"],
+    );
+    let jobs = flags.number("--jobs", 1);
+    let random_programs_per_bug = flags.number("--programs-per-bug", 2);
+    let hunt_seeds = flags.number("--hunt-seeds", 100);
+    let coverage = if flags.number("--coverage", 0) != 0 {
         Some(CoverageOptions {
-            corpus: parse_string_flag("--corpus"),
+            corpus: flags.string("--corpus"),
             ..CoverageOptions::default()
         })
     } else {
         None
     };
-    let epoch_cache = parse_flag("--cache", 1) != 0;
-    let portfolio = parse_flag("--portfolio", 0) != 0;
-    let quiet = has_flag("--quiet");
-    let events = parse_string_flag("--events");
-    let report_path = parse_string_flag("--report");
+    let portfolio = flags.number("--portfolio", 0) != 0;
+    let quiet = flags.switch("--quiet");
+    let events = flags.string("--events");
+    let report_path = flags.string("--report");
     // All stderr narration goes through one sink so `--quiet` silences
     // everything at once; stdout (the deterministic artifact) is untouched.
     let progress = ProgressSink::new(!quiet);
@@ -92,9 +87,9 @@ fn main() {
         progress: !quiet,
         ..TelemetryOptions::default()
     });
-    let mutation = if parse_flag("--mutate", 0) != 0 {
+    let mutation = if flags.number("--mutate", 0) != 0 {
         Some(MetamorphicOptions {
-            mutants_per_seed: parse_flag(
+            mutants_per_seed: flags.number(
                 "--mutations-per-seed",
                 MetamorphicOptions::default().mutants_per_seed,
             ),
@@ -146,7 +141,6 @@ fn main() {
         },
         coverage: coverage.clone(),
         mutation: mutation.clone(),
-        epoch_cache,
         portfolio,
         telemetry: hunt_telemetry,
         ..HuntConfig::default()
@@ -163,7 +157,7 @@ fn main() {
         // counts schedule-dependent), so the stderr sink: stdout stays
         // byte-identical across `--jobs`, and `--quiet` silences it.
         progress.note(&format!(
-            "epoch cache: {} epoch(s), semantics {}/{} hit, verdicts {}/{} hit, {} portfolio race(s)",
+            "campaign cache: {} epoch(s), semantics {}/{} hit, verdicts {}/{} hit, {} portfolio race(s)",
             cache.epochs,
             cache.stats.semantics_hits,
             cache.stats.semantics_lookups(),
@@ -197,7 +191,6 @@ fn main() {
         seed_count: hunt_seeds,
         targets: diff_targets,
         coverage,
-        epoch_cache,
         portfolio,
         telemetry: progress_telemetry.clone(),
         ..HuntConfig::default()
@@ -238,7 +231,6 @@ fn main() {
             jobs,
             seed_count: hunt_seeds,
             mutation: Some(mutation),
-            epoch_cache,
             portfolio,
             telemetry: progress_telemetry,
             ..HuntConfig::default()

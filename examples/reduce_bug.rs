@@ -10,23 +10,20 @@
 //! ```text
 //! cargo run --release --example reduce_bug -- [--jobs N] [--seeds S]
 //! ```
+//!
+//! An unknown flag or an unparsable value exits with status 2.
 
 use gauntlet_core::{render_reduction_summary, HuntConfig, ParallelCampaign, Platform, SeededBug};
 use p4_gen::RandomProgramGenerator;
 use p4_ir::print_program;
 
-fn parse_flag(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+#[path = "common/flags.rs"]
+mod flags;
 
 fn main() {
-    let jobs = parse_flag("--jobs", 1);
-    let seeds = parse_flag("--seeds", 40);
+    let flags = flags::Flags::parse(&["--jobs", "--seeds"], &[]);
+    let jobs = flags.number("--jobs", 1);
+    let seeds = flags.number("--seeds", 40);
 
     // Seed a miscompilation into the open compiler.
     let bug = SeededBug::catalogue()

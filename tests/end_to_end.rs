@@ -1,8 +1,9 @@
 //! End-to-end integration tests spanning every crate in the workspace:
 //! generator → compiler → translation validation → test generation → targets.
 
-use gauntlet_core::{BugKind, Gauntlet, SeededBug};
+use gauntlet_core::{BugKind, Gauntlet, Platform, SeededBug};
 use p4_gen::{GeneratorConfig, RandomProgramGenerator};
+use p4_symbolic::{check_equivalence, Equivalence, EquivalenceError, ValidationSession};
 use p4c::{Compiler, FrontEndBugClass};
 
 /// Random programs compiled by the *correct* compiler must never trigger a
@@ -65,6 +66,60 @@ fn every_seeded_bug_class_is_detected_by_its_trigger_program() {
             );
         }
     }
+}
+
+/// The campaign validates every pass chain through one incremental
+/// [`ValidationSession`] (shared snapshots, one solver); the one-shot
+/// [`check_equivalence`] re-interprets and re-solves each pair from scratch.
+/// The two must reach the same verdict on every pass pair — on the
+/// reference compiler and on a compiler seeded with a semantic bug, so both
+/// the Equal and the NotEqual paths are compared.
+#[test]
+fn incremental_and_one_shot_validation_agree_on_every_pass_pair() {
+    fn verdict(result: &Result<Equivalence, EquivalenceError>) -> &'static str {
+        match result {
+            Ok(Equivalence::Equal) => "equal",
+            Ok(Equivalence::NotEqual(_)) => "not equal",
+            Err(EquivalenceError::StructureMismatch { .. }) => "structure mismatch",
+            Err(EquivalenceError::Interpreter(_)) => "interpreter error",
+        }
+    }
+    let seeded = SeededBug::catalogue()
+        .into_iter()
+        .find(|b| b.platform() == Platform::P4c && !b.is_crash_class())
+        .expect("catalogue has a P4C semantic bug");
+    let mut differences = 0;
+    for (compiler, extra) in [
+        (Compiler::reference(), None),
+        (seeded.build_compiler(), Some(seeded.trigger_program())),
+    ] {
+        let programs = (0..20)
+            .map(|seed| RandomProgramGenerator::new(GeneratorConfig::tiny(), seed).generate())
+            .chain(extra);
+        for (index, program) in programs.enumerate() {
+            let Ok(result) = compiler.compile(&program) else {
+                continue;
+            };
+            let mut session = ValidationSession::new();
+            for (before, after) in result.pass_pairs() {
+                let one_shot = check_equivalence(&before.program, &after.program);
+                let incremental = session.check_pair(&before.program, &after.program);
+                assert_eq!(
+                    verdict(&one_shot),
+                    verdict(&incremental),
+                    "program {index}, pass {}: incremental and one-shot validation disagree",
+                    after.pass_name
+                );
+                if matches!(one_shot, Ok(Equivalence::NotEqual(_))) {
+                    differences += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        differences > 0,
+        "the seeded bug must produce a NotEqual pair"
+    );
 }
 
 /// Semantic bugs found by translation validation are attributed to the pass

@@ -84,6 +84,20 @@ fn two_worker_fleet_matches_the_single_process_campaign_byte_for_byte() {
     let coverage = report.coverage.as_ref().expect("coverage on");
     assert!(!coverage.pairs.is_empty(), "cross-pass pairs observed");
     assert!(report.diversity.is_none(), "uniform fleet has no diversity");
+    // The run-descriptive half describes the fleet run itself: its wall
+    // clock, and the programs each worker slot delivered.
+    let document = gauntlet_telemetry::json::parse(&report.to_json()).expect("report parses");
+    let run = document.get("run").expect("run half");
+    assert!(
+        run.get("elapsed_us").and_then(|n| n.as_u64()).unwrap_or(0) > 0,
+        "merged report carries the coordinator's wall clock"
+    );
+    assert_eq!(
+        report.per_worker.iter().sum::<usize>(),
+        report.programs_checked,
+        "per-worker loads account for every checked program: {:?}",
+        report.per_worker
+    );
     assert!(!outcome.interrupted);
     assert_eq!(outcome.stats.shards_total, 4);
     assert_eq!(outcome.stats.worker_deaths, 0);

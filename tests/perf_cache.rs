@@ -1,15 +1,17 @@
-//! Acceptance tests for the epoch-scoped validation cache and portfolio
-//! SAT: both knobs must be *semantically invisible* — the rendered report
-//! and the saved corpus are byte-identical with caching on or off, with
-//! portfolio racing on or off, at `--jobs 1` and `--jobs 4` — and the
-//! pool-wide cache counters must reconcile exactly with the per-session
-//! tallies summed over every worker.
+//! Acceptance tests for the campaign-lifetime validation cache and
+//! portfolio SAT: both must be *semantically invisible* — the engine's
+//! committed findings equal a straight-line, uncached reference over the
+//! same seeds, with portfolio racing on or off, at `--jobs 1` and
+//! `--jobs 4`; reports and saved corpora are byte-identical across
+//! `--jobs` — and the pool-wide cache counters must reconcile exactly with
+//! the per-session tallies summed over every worker.
 
 use gauntlet_core::{
-    CacheSummary, CoverageOptions, HuntConfig, HuntReport, MetamorphicOptions, ParallelCampaign,
-    Platform, SeededBug,
+    bug_report_json, cache_summary_from_json, hunt_mutation_seed, CacheSummary, CoverageOptions,
+    Gauntlet, HuntConfig, HuntReport, MetamorphicChecker, MetamorphicOptions, ParallelCampaign,
+    Platform, SeedOutcome, SeededBug,
 };
-use p4_gen::GeneratorConfig;
+use p4_gen::{GeneratorConfig, RandomProgramGenerator};
 use std::path::PathBuf;
 
 mod common;
@@ -39,19 +41,64 @@ fn hunted_compiler() -> p4c::Compiler {
 
 /// A hunt over the fixed seed range with both oracle dimensions on
 /// (translation validation + metamorphic mutation), parameterised by the
-/// three knobs under test.
-fn hunt(cache: bool, jobs: usize, portfolio: bool) -> HuntReport {
+/// two knobs under test.
+fn hunt(jobs: usize, portfolio: bool) -> HuntReport {
     ParallelCampaign::new(HuntConfig {
         jobs,
         seed_start: 0,
         seed_count: budget(),
         generator: GeneratorConfig::tiny(),
         mutation: Some(MetamorphicOptions::default()),
-        epoch_cache: cache,
         portfolio,
         ..HuntConfig::default()
     })
     .run(hunted_compiler)
+}
+
+/// The straight-line reference for [`hunt`]: the same seeds checked one
+/// after another, without the worker pool and without any shared cache —
+/// every program gets a fresh, uncached validation session through
+/// [`Gauntlet::check_open_compiler`], and one uncached
+/// [`MetamorphicChecker`] serves every mutant family.
+fn reference_outcomes() -> Vec<SeedOutcome> {
+    let gauntlet = Gauntlet::default();
+    let compiler = hunted_compiler();
+    let options = MetamorphicOptions::default();
+    let mut checker = MetamorphicChecker::new(hunted_compiler());
+    let mut outcomes = Vec::new();
+    for seed in 0..budget() as u64 {
+        let program = RandomProgramGenerator::new(GeneratorConfig::tiny(), seed).generate();
+        let open = gauntlet.check_open_compiler(&compiler, &program);
+        let mut reports = open.reports;
+        let mutated = match &open.compiled {
+            Some(seed_final) => gauntlet.check_mutants_against(
+                &mut checker,
+                seed_final,
+                &program,
+                &options,
+                hunt_mutation_seed(seed),
+            ),
+            None => {
+                gauntlet.check_mutants(&mut checker, &program, &options, hunt_mutation_seed(seed))
+            }
+        };
+        reports.extend(mutated.reports);
+        if !reports.is_empty() {
+            outcomes.push(SeedOutcome { seed, reports });
+        }
+    }
+    outcomes
+}
+
+/// Outcomes as comparable data: every report in its full JSON form.
+fn findings(outcomes: &[SeedOutcome]) -> Vec<(u64, Vec<String>)> {
+    outcomes
+        .iter()
+        .map(|outcome| {
+            let reports = outcome.reports.iter().map(bug_report_json).collect();
+            (outcome.seed, reports)
+        })
+        .collect()
 }
 
 /// A scratch path unique to this test process.
@@ -61,48 +108,54 @@ fn scratch(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// The headline determinism claim: across the whole knob matrix — cache
-/// on/off × portfolio on/off × `--jobs` 1/4 — the rendered report is
-/// byte-identical.  Cached SAT verdicts carry canonical models and
-/// portfolio races are verdict-preserving, so no combination may change a
-/// single byte of output.
+/// The headline determinism claim: across the knob matrix — portfolio
+/// on/off × `--jobs` 1/4 — the engine commits exactly the findings of the
+/// straight-line, uncached reference, report for report.  Cached SAT
+/// verdicts carry canonical models and portfolio races are
+/// verdict-preserving, so neither the shared cache nor any knob may change
+/// a single byte of output.
 #[test]
 fn reports_are_byte_identical_across_cache_jobs_and_portfolio() {
-    let baseline = hunt(false, 1, false);
-    let rendered = baseline.render();
+    let reference = findings(&reference_outcomes());
+    let total: usize = reference.iter().map(|(_, reports)| reports.len()).sum();
     assert!(
-        baseline.total_bugs > 0,
+        total > 0,
         "the seeded bug must be visible, or the matrix proves nothing"
     );
     // Findings carry counterexamples: the canonical-model discipline is
     // actually load-bearing in this comparison.
-    assert!(rendered.contains("semantic difference"), "{rendered}");
-    for (cache, jobs, portfolio) in [
-        (true, 1, false),
-        (false, 4, false),
-        (true, 4, false),
-        (false, 1, true),
-        (true, 1, true),
-        (false, 4, true),
-        (true, 4, true),
-    ] {
-        let variant = hunt(cache, jobs, portfolio);
+    assert!(
+        reference
+            .iter()
+            .flat_map(|(_, reports)| reports)
+            .any(|report| report.contains("semantic difference")),
+        "{reference:?}"
+    );
+    let mut rendered = None;
+    for (jobs, portfolio) in [(1, false), (4, false), (1, true), (4, true)] {
+        let variant = hunt(jobs, portfolio);
         assert_eq!(
-            rendered,
-            variant.render(),
-            "cache={cache} jobs={jobs} portfolio={portfolio} changed the report"
+            reference,
+            findings(&variant.outcomes),
+            "jobs={jobs} portfolio={portfolio} diverged from the uncached reference"
         );
-        assert_eq!(baseline.outcomes.len(), variant.outcomes.len());
-        assert_eq!(baseline.total_bugs, variant.total_bugs);
+        assert_eq!(variant.total_bugs, total);
+        assert_eq!(variant.programs_checked, budget());
+        let render = variant.render();
+        assert_eq!(
+            rendered.get_or_insert_with(|| render.clone()),
+            &render,
+            "jobs={jobs} portfolio={portfolio} changed the report"
+        );
     }
 }
 
 /// The coverage feedback loop (adaptive weights + corpus admission) is
-/// downstream of validation, so the epoch cache must leave the saved
-/// corpus byte-identical too, at any `--jobs`.
+/// downstream of validation, so the shared cache must leave the saved
+/// corpus byte-identical at any `--jobs`.
 #[test]
-fn corpus_bytes_are_identical_with_cache_on_and_off() {
-    let corpus_hunt = |cache: bool, jobs: usize, path: &PathBuf| -> HuntReport {
+fn corpus_bytes_are_identical_across_jobs() {
+    let corpus_hunt = |jobs: usize, path: &PathBuf| -> HuntReport {
         let _ = std::fs::remove_file(path);
         ParallelCampaign::new(HuntConfig {
             jobs,
@@ -115,30 +168,24 @@ fn corpus_bytes_are_identical_with_cache_on_and_off() {
                 corpus: Some(path.display().to_string()),
                 ..CoverageOptions::default()
             }),
-            epoch_cache: cache,
             ..HuntConfig::default()
         })
         .run(p4c::Compiler::reference)
     };
-    let path_off = scratch("corpus-cache-off.txt");
-    let path_on_1 = scratch("corpus-cache-on-jobs1.txt");
-    let path_on_4 = scratch("corpus-cache-on-jobs4.txt");
-    let off = corpus_hunt(false, 2, &path_off);
-    let on_1 = corpus_hunt(true, 1, &path_on_1);
-    let on_4 = corpus_hunt(true, 4, &path_on_4);
-    assert_eq!(off.render(), on_1.render());
-    assert_eq!(off.render(), on_4.render());
-    assert_eq!(off.coverage, on_1.coverage);
-    assert_eq!(off.coverage, on_4.coverage);
-    let bytes_off = std::fs::read(&path_off).expect("corpus saved with cache off");
-    let bytes_on_1 = std::fs::read(&path_on_1).expect("corpus saved with cache on");
-    let bytes_on_4 = std::fs::read(&path_on_4).expect("corpus saved at jobs 4");
-    assert!(!bytes_off.is_empty());
-    assert_eq!(bytes_off, bytes_on_1, "cache changed the corpus bytes");
-    assert_eq!(bytes_off, bytes_on_4, "jobs changed the corpus bytes");
-    for path in [path_off, path_on_1, path_on_4] {
-        let _ = std::fs::remove_file(path);
+    let path_1 = scratch("corpus-jobs1.txt");
+    let baseline = corpus_hunt(1, &path_1);
+    let bytes_1 = std::fs::read(&path_1).expect("corpus saved at jobs 1");
+    assert!(!bytes_1.is_empty());
+    for jobs in [2, 4] {
+        let path = scratch(&format!("corpus-jobs{jobs}.txt"));
+        let variant = corpus_hunt(jobs, &path);
+        assert_eq!(baseline.render(), variant.render(), "jobs={jobs}");
+        assert_eq!(baseline.coverage, variant.coverage, "jobs={jobs}");
+        let bytes = std::fs::read(&path).expect("corpus saved");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(bytes_1, bytes, "jobs={jobs} changed the corpus bytes");
     }
+    let _ = std::fs::remove_file(path_1);
 }
 
 /// Cross-epoch reuse must be semantically invisible too.  A coverage-
@@ -146,14 +193,13 @@ fn corpus_bytes_are_identical_with_cache_on_and_off() {
 /// epochs exercises the campaign-lifetime cache across epoch barriers
 /// (semantics memo, verdict memo, and interner all survive into the next
 /// epoch); the rendered report, the coverage block, and the saved corpus
-/// must still be byte-identical with the cache on or off, at `--jobs` 1
-/// and 4.
+/// must still be byte-identical at `--jobs` 1, 2 and 4.
 #[test]
-fn multi_epoch_reports_and_corpus_are_identical_across_cache_and_jobs() {
+fn multi_epoch_reports_and_corpus_are_identical_across_jobs() {
     // Strictly less than the seed count, so the hunt crosses epoch
     // boundaries (ceil(budget / epoch_len) >= 3 epochs).
     let epoch_len = (budget() / 3).max(2);
-    let epoch_hunt = |cache: bool, jobs: usize, path: &PathBuf| -> HuntReport {
+    let epoch_hunt = |jobs: usize, path: &PathBuf| -> HuntReport {
         let _ = std::fs::remove_file(path);
         ParallelCampaign::new(HuntConfig {
             jobs,
@@ -167,38 +213,39 @@ fn multi_epoch_reports_and_corpus_are_identical_across_cache_and_jobs() {
                 ..CoverageOptions::default()
             }),
             mutation: Some(MetamorphicOptions::default()),
-            epoch_cache: cache,
             ..HuntConfig::default()
         })
         .run(hunted_compiler)
     };
     let base_path = scratch("multi-epoch-baseline.txt");
-    let baseline = epoch_hunt(false, 1, &base_path);
+    let baseline = epoch_hunt(1, &base_path);
     let baseline_bytes = std::fs::read(&base_path).expect("baseline corpus saved");
     let _ = std::fs::remove_file(&base_path);
     assert!(baseline.total_bugs > 0, "the seeded bug must be visible");
-    for (cache, jobs) in [(false, 4), (true, 1), (true, 4)] {
-        let path = scratch(&format!("multi-epoch-cache{cache}-jobs{jobs}.txt"));
-        let variant = epoch_hunt(cache, jobs, &path);
+    let summary = baseline.cache.expect("cache summary present");
+    assert!(
+        summary.epochs > 1,
+        "the matrix must actually cross epoch boundaries: {summary:?}"
+    );
+    for jobs in [2, 4] {
+        let path = scratch(&format!("multi-epoch-jobs{jobs}.txt"));
+        let variant = epoch_hunt(jobs, &path);
         assert_eq!(
             baseline.render(),
             variant.render(),
-            "cache={cache} jobs={jobs} changed the multi-epoch report"
+            "jobs={jobs} changed the multi-epoch report"
         );
         assert_eq!(baseline.coverage, variant.coverage);
         let bytes = std::fs::read(&path).expect("variant corpus saved");
         let _ = std::fs::remove_file(&path);
         assert_eq!(
             baseline_bytes, bytes,
-            "cache={cache} jobs={jobs} changed the corpus bytes"
+            "jobs={jobs} changed the corpus bytes"
         );
-        if cache {
-            let summary = variant.cache.expect("cache summary present");
-            assert!(
-                summary.epochs > 1,
-                "the matrix must actually cross epoch boundaries: {summary:?}"
-            );
-        }
+        assert_eq!(
+            variant.cache.expect("cache summary present").epochs,
+            summary.epochs
+        );
     }
 }
 
@@ -210,8 +257,8 @@ fn multi_epoch_reports_and_corpus_are_identical_across_cache_and_jobs() {
 #[test]
 fn cache_counters_reconcile_with_session_tallies() {
     for jobs in [1, 4] {
-        let report = hunt(true, jobs, false);
-        let summary = report.cache.expect("cache summary present when enabled");
+        let report = hunt(jobs, false);
+        let summary = report.cache.expect("cache summary present");
         assert_eq!(summary.epochs, 1, "mutation-only hunts run one epoch");
         let (cache, sessions) = (summary.stats, summary.sessions);
         assert_eq!(
@@ -247,8 +294,8 @@ fn cache_counters_reconcile_with_session_tallies() {
 /// as a hit, exactly like a sequential second lookup).
 #[test]
 fn cache_counters_are_schedule_independent_without_a_quota() {
-    let sequential = hunt(true, 1, false);
-    let parallel = hunt(true, 4, false);
+    let sequential = hunt(1, false);
+    let parallel = hunt(4, false);
     assert_eq!(
         sequential.cache.expect("summary on"),
         parallel.cache.expect("summary on"),
@@ -256,26 +303,26 @@ fn cache_counters_are_schedule_independent_without_a_quota() {
     );
 }
 
-/// The summary block appears exactly when a knob that produces it is on,
-/// and never leaks into the rendered report (it is run-descriptive, like
-/// `elapsed`).
+/// The engine always validates through its campaign cache, so every hunt
+/// carries the summary block — with or without portfolio racing — and the
+/// block round-trips through the JSON report.  It never leaks into the
+/// rendered report (it is run-descriptive, like `elapsed`).
 #[test]
-fn cache_summary_presence_follows_the_knobs() {
-    let off = hunt(false, 2, false);
-    assert!(off.cache.is_none(), "no knobs, no summary");
-    let cached = hunt(true, 2, false);
-    let summary = cached.cache.expect("cache knob produces the summary");
-    assert!(summary.stats.semantics_lookups() > 0);
-    let portfolio_only = hunt(false, 2, true);
-    let races = portfolio_only
-        .cache
-        .expect("portfolio knob produces it too");
-    // Private-cache sessions still tally; the pool-wide stats stay zero
-    // because no shared epoch cache existed.
-    assert_eq!(races.epochs, 0);
-    assert_eq!(races.stats, Default::default());
-    assert!(races.sessions.semantics_hits + races.sessions.semantics_misses > 0);
-    for report in [&off, &cached, &portfolio_only] {
+fn cache_summary_is_always_present_and_never_rendered() {
+    for portfolio in [false, true] {
+        let report = hunt(2, portfolio);
+        let summary = report.cache.expect("the engine fills the cache summary");
+        assert_eq!(summary.epochs, 1, "mutation-only hunts run one epoch");
+        assert!(summary.stats.semantics_lookups() > 0, "{summary:?}");
+        let document = gauntlet_telemetry::json::parse(&report.to_json()).expect("report parses");
+        let cache = document
+            .get("run")
+            .and_then(|run| run.get("cache"))
+            .expect("run.cache present");
+        assert_eq!(
+            cache_summary_from_json(cache).expect("cache block parses"),
+            summary
+        );
         let rendered = report.render();
         assert!(
             !rendered.to_lowercase().contains("cache"),
@@ -289,8 +336,8 @@ fn cache_summary_presence_follows_the_knobs() {
 /// query stream, so the tally is schedule-independent too.
 #[test]
 fn portfolio_race_count_is_schedule_independent() {
-    let sequential = hunt(false, 1, true);
-    let parallel = hunt(false, 4, true);
+    let sequential = hunt(1, true);
+    let parallel = hunt(4, true);
     let races_1 = sequential.cache.expect("summary on").portfolio_races;
     let races_4 = parallel.cache.expect("summary on").portfolio_races;
     assert_eq!(races_1, races_4, "portfolio race tallies diverged");

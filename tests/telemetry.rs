@@ -30,7 +30,7 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// One coverage-guided hunt (coverage exercises the corpus writer, the
-/// feedback loop, and the epoch cache at once) with telemetry on or off.
+/// feedback loop, and the campaign cache at once) with telemetry on or off.
 fn hunt(jobs: usize, telemetry: Option<TelemetryOptions>, corpus: &PathBuf) -> HuntReport {
     let _ = std::fs::remove_file(corpus);
     ParallelCampaign::new(HuntConfig {
