@@ -56,6 +56,7 @@
 //! sorted-sample percentiles as the ground truth the bucketed histogram
 //! approximates.
 
+use gauntlet_core::flags::Flags;
 use gauntlet_core::{hunt_mutation_seed, MetamorphicChecker, MetamorphicOptions};
 use gauntlet_telemetry::ProgressSink;
 use p4_gen::{GeneratorConfig, RandomProgramGenerator};
@@ -85,13 +86,6 @@ const COVERAGE_OVERHEAD_CEILING_PCT: f64 = 5.0;
 /// at least this much faster than a cold run, proving the memos survive
 /// the barrier.
 const CROSS_EPOCH_SPEEDUP_FLOOR: f64 = 1.5;
-
-fn parse_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 /// Resolves a `--out`/`--compare` path against the workspace root (cargo
 /// runs bench harnesses with the package directory as cwd, which would
@@ -138,20 +132,35 @@ fn latest_committed_baseline() -> std::path::PathBuf {
     }
 }
 
+fn fail(message: &str) -> ! {
+    eprintln!("trajectory: {message}");
+    std::process::exit(2)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seeds: usize = parse_flag(&args, "--seeds")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50);
-    let portfolio = parse_flag(&args, "--portfolio")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(0)
-        != 0;
-    let out = parse_flag(&args, "--out");
-    let compare = parse_flag(&args, "--compare");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    // Strict: a typo such as `--seeds 5O` or `--comapre auto` must fail
+    // rather than measure the default or skip the gate.  `cargo bench`
+    // appends `--bench`, which is accepted and ignored.
+    let flags = Flags::parse(
+        &args,
+        &["--seeds", "--out", "--compare", "--portfolio"],
+        &["--quiet", "--bench"],
+    )
+    .unwrap_or_else(|error| fail(&error));
+    let number = |name: &str, default: usize| {
+        flags
+            .number(name)
+            .unwrap_or_else(|error| fail(&error))
+            .unwrap_or(default)
+    };
+    let seeds = number("--seeds", 50);
+    let portfolio = number("--portfolio", 0) != 0;
+    let out = flags.string("--out");
+    let compare = flags.string("--compare");
     // Stderr narration routes through one sink (`--quiet` silences it);
     // stdout stays machine-readable JSON only.
-    let progress = ProgressSink::new(!args.iter().any(|a| a == "--quiet"));
+    let progress = ProgressSink::new(!flags.switch("--quiet"));
 
     let trajectory = measure(seeds, portfolio);
     let json = render_json(&trajectory);
@@ -333,8 +342,7 @@ fn validate_all(
 }
 
 /// The compiler under test: the catalogue's first P4C semantic (non-crash)
-/// seeded bug, the same selection rule as the `bug_campaign` example and
-/// the hunt determinism tests.
+/// seeded bug, the same selection rule as the hunt determinism tests.
 fn hunted_compiler() -> Compiler {
     gauntlet_core::SeededBug::catalogue()
         .into_iter()

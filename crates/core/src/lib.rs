@@ -17,7 +17,9 @@
 //!   the paper's Tables 2 and 3;
 //! * [`report`] — text rendering of the campaign results;
 //! * [`json_report`] — the versioned machine-readable `gauntlet-report-v1`
-//!   JSON document from which every rendered table is derivable.
+//!   JSON document from which every rendered table is derivable;
+//! * [`flags`] — the strict command-line flag parser every command-line
+//!   surface shares.
 //!
 //! Test-case reduction (`p4-reduce`) plugs in underneath: campaigns run
 //! with reduction enabled attach a delta-debugged minimal reproducer to
@@ -26,6 +28,7 @@
 pub mod bugs;
 pub mod campaign;
 pub mod corpus;
+pub mod flags;
 pub mod inject;
 pub mod json_report;
 pub mod pipeline;

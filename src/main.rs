@@ -1,6 +1,8 @@
-//! The `gauntlet` binary: fleet campaigns from the command line.
+//! The `gauntlet` binary: the one command-line front door to campaigns.
 //!
 //! ```text
+//! gauntlet hunt --seeds 100 --compiler DefUseDropsParameterWrites --reduce
+//! gauntlet table --jobs 2 --programs-per-bug 1
 //! gauntlet fleet hunt --seeds 100 --workers 2 --coverage --checkpoint fleet.ckpt
 //! gauntlet fleet status --checkpoint fleet.ckpt
 //! gauntlet fleet resume --checkpoint fleet.ckpt
@@ -8,8 +10,17 @@
 //! gauntlet fleet-worker        # spawned by the coordinator, not by hand
 //! ```
 //!
-//! Flag parsing is hand-rolled (the workspace is fully offline; no clap).
+//! `hunt` and `fleet hunt` read the same campaign flags into one
+//! [`FleetSpec`] and build their `HuntConfig` through
+//! [`FleetSpec::hunt_config`].  Every command parses its flags through the
+//! strict [`Flags`] parser: an unknown flag, a missing value or a value
+//! that does not parse exits with status 2.
 
+use gauntlet_core::flags::Flags;
+use gauntlet_core::{
+    render_detection_matrix, render_reduction_summary, render_table2, render_table3, run_campaign,
+    CampaignConfig, CoverageOptions, ParallelCampaign, TelemetryOptions,
+};
 use gauntlet_fleet::{
     checkpoint::Checkpoint, coordinator, worker, CompilerSpec, FleetMode, FleetOptions,
     FleetOutcome, FleetSpec,
@@ -20,42 +31,87 @@ const USAGE: &str = "\
 gauntlet — Gauntlet campaign driver
 
 USAGE:
+  gauntlet hunt [FLAGS]             run a campaign in this process
+  gauntlet table [--jobs N] [--programs-per-bug P]
+                                    seeded-bug campaign (paper Tables 2 and 3)
   gauntlet fleet hunt [FLAGS]       run a multi-process campaign
   gauntlet fleet resume [FLAGS]     continue from --checkpoint
   gauntlet fleet status --checkpoint PATH
   gauntlet report FILE              render a gauntlet-report-v1 JSON file
   gauntlet fleet-worker             (internal) shard executor
 
-FLEET HUNT FLAGS:
-  --workers N             worker processes (default 2)
-  --jobs N                threads per worker (default 1)
+HUNT FLAGS (hunt and fleet hunt):
+  --jobs N                threads (per worker process in a fleet) (default 1)
   --seed-start N          first seed (default 0)
   --seeds N               seed count (default 100)
-  --shard-size N          seeds per lease (default 25)
   --compiler NAME         `reference` or a SeededBug name (default reference)
   --generator NAME        tiny | default | tofino (default tiny)
-  --mode MODE             deterministic | throughput (default deterministic)
-  --coverage              account pass-rule coverage and build a corpus
-  --corpus PATH           write the merged corpus here (implies --coverage)
-  --diversity             swarm mode: per-slice generator perturbation and
-                          disjoint pair-frontier partitions (implies --coverage)
+  --coverage              account pass-rule coverage and build a corpus; in
+                          one process generator weights also adapt to it
+  --corpus PATH           corpus file (implies --coverage); `hunt` replays
+                          it first, both write the final corpus here
   --mutants N             metamorphic mutants per seed (default 0)
   --reduce                delta-debug committed findings
   --target SPEC           differential target (repeatable)
+  --report PATH           write the gauntlet-report-v1 JSON here
+  --events PATH           JSONL event log (merged across a fleet)
+  --quiet                 no progress or status line, no worker stderr
+
+FLEET HUNT FLAGS:
+  --workers N             worker processes (default 2)
+  --shard-size N          seeds per lease (default 25)
+  --mode MODE             deterministic | throughput (default deterministic)
+  --diversity             swarm mode: per-slice generator perturbation and
+                          disjoint pair-frontier partitions (implies --coverage)
   --checkpoint PATH       checkpoint file (enables resume/status)
   --checkpoint-every N    shards between checkpoints (default 1)
-  --report PATH           write the merged gauntlet-report-v1 JSON here
   --triage PATH           write the gauntlet-triage-v1 JSON here
-  --events PATH           merged JSONL event log
-  --quiet                 no status line, no worker stderr
 
-FAULT-INJECTION / RUNTIME FLAGS (hunt and resume):
+FLEET RESUME FLAGS:
+  --checkpoint PATH       the checkpoint to continue (required)
+  --report, --triage, --events, --quiet as for fleet hunt
+
+FAULT-INJECTION / RUNTIME FLAGS (fleet hunt and resume):
   --chaos-kill W:F        kill worker W after its F-th delivered fragment
   --chaos-stall W:F       park worker W instead of its next assignment
   --stop-after-checkpoints N   stop (resumably) after N checkpoints
   --lease-timeout-ms N    kill workers whose lease exceeds N ms
   --max-respawns N        replacement processes allowed (default 8)
 ";
+
+/// Campaign flags `hunt` and `fleet hunt` share: the spec plus its outputs.
+const HUNT_VALUED: &[&str] = &[
+    "--jobs",
+    "--seed-start",
+    "--seeds",
+    "--compiler",
+    "--generator",
+    "--corpus",
+    "--mutants",
+    "--target",
+    "--events",
+    "--report",
+];
+const HUNT_SWITCHES: &[&str] = &["--coverage", "--reduce", "--quiet"];
+
+/// Flags only `fleet hunt` takes on top of [`HUNT_VALUED`].
+const FLEET_VALUED: &[&str] = &[
+    "--workers",
+    "--shard-size",
+    "--mode",
+    "--checkpoint",
+    "--checkpoint-every",
+    "--triage",
+];
+
+/// Fault-injection and lease flags of `fleet hunt` and `fleet resume`.
+const RUNTIME_VALUED: &[&str] = &[
+    "--chaos-kill",
+    "--chaos-stall",
+    "--stop-after-checkpoints",
+    "--lease-timeout-ms",
+    "--max-respawns",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -68,6 +124,8 @@ fn main() {
 fn run(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("fleet-worker") => worker::serve(),
+        Some("hunt") => hunt(&args[1..]),
+        Some("table") => table(&args[1..]),
         Some("fleet") => fleet(&args[1..]),
         Some("report") => report(&args[1..]),
         None | Some("--help") | Some("-h") | Some("help") => {
@@ -76,6 +134,92 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         Some(other) => Err(format!("unknown command `{other}` (see `gauntlet --help`)")),
     }
+}
+
+/// Parses one command's flags, naming the command in any error.
+fn parse(
+    command: &str,
+    args: &[String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<Flags, String> {
+    Flags::parse(args, valued, switches).map_err(|error| format!("{command}: {error}"))
+}
+
+/// The campaign spec from the flags `hunt` and `fleet hunt` share; fleet-only
+/// fields keep their defaults.
+fn spec_from_flags(flags: &Flags) -> Result<FleetSpec, String> {
+    let defaults = FleetSpec::default();
+    let corpus = flags.string("--corpus");
+    Ok(FleetSpec {
+        jobs_per_worker: flags.number("--jobs")?.unwrap_or(defaults.jobs_per_worker),
+        seed_start: flags.number("--seed-start")?.unwrap_or(defaults.seed_start),
+        seed_count: flags.number("--seeds")?.unwrap_or(defaults.seed_count),
+        compiler: flags
+            .string("--compiler")
+            .map_or(defaults.compiler, |name| CompilerSpec::from_name(&name)),
+        generator: flags.string("--generator").unwrap_or(defaults.generator),
+        coverage: flags.switch("--coverage") || corpus.is_some(),
+        corpus,
+        mutants_per_seed: flags
+            .number("--mutants")?
+            .unwrap_or(defaults.mutants_per_seed),
+        reduce_reports: flags.switch("--reduce"),
+        targets: flags.all("--target").to_vec(),
+        ..defaults
+    })
+}
+
+fn write_report(path: Option<String>, json: String) -> Result<(), String> {
+    match path {
+        Some(path) => std::fs::write(&path, json)
+            .map_err(|error| format!("cannot write report `{path}`: {error}")),
+        None => Ok(()),
+    }
+}
+
+/// `gauntlet hunt`: the single-process twin of `gauntlet fleet hunt`.
+fn hunt(args: &[String]) -> Result<(), String> {
+    let flags = parse("hunt", args, HUNT_VALUED, HUNT_SWITCHES)?;
+    let spec = spec_from_flags(&flags)?;
+    spec.validate()?;
+    let mut config = spec.hunt_config()?;
+    // In one process coverage keeps adaptive steering: adaptation feeds
+    // committed coverage back into generation, which needs the global
+    // commit order only a single process has (the fleet runs `adapt: false`).
+    if spec.coverage {
+        config.coverage = Some(CoverageOptions {
+            corpus: spec.corpus.clone(),
+            ..CoverageOptions::default()
+        });
+    }
+    config.telemetry = Some(TelemetryOptions {
+        events: flags.string("--events"),
+        progress: !flags.switch("--quiet"),
+        ..TelemetryOptions::default()
+    });
+    let compiler = spec.compiler.clone();
+    let report = ParallelCampaign::new(config).run(move || compiler.build());
+    write_report(flags.string("--report"), report.to_json())?;
+    print!("{}", report.render());
+    if spec.reduce_reports {
+        print!("{}", render_reduction_summary(&report));
+    }
+    Ok(())
+}
+
+/// `gauntlet table`: the seeded-bug campaign behind paper Tables 2 and 3.
+fn table(args: &[String]) -> Result<(), String> {
+    let flags = parse("table", args, &["--jobs", "--programs-per-bug"], &[])?;
+    let report = run_campaign(&CampaignConfig {
+        jobs: flags.number("--jobs")?.unwrap_or(1),
+        random_programs_per_bug: flags.number("--programs-per-bug")?.unwrap_or(2),
+        ..CampaignConfig::default()
+    });
+    println!("{}", render_table2(&report));
+    println!("{}", render_table3(&report));
+    println!("{}", render_detection_matrix(&report));
+    Ok(())
 }
 
 /// `W:F` pairs for the chaos flags.
@@ -93,83 +237,45 @@ fn parse_pair(text: &str) -> Result<(usize, usize), String> {
     ))
 }
 
-fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("bad value `{value}` for {flag}"))
-}
-
-/// Pull the value of `--flag VALUE`.
-fn value<'a>(args: &'a [String], index: &mut usize, flag: &str) -> Result<&'a str, String> {
-    *index += 1;
-    args.get(*index)
-        .map(String::as_str)
-        .ok_or_else(|| format!("{flag} needs a value"))
-}
-
-fn worker_command() -> Result<Vec<String>, String> {
+/// Coordinator options from the output and runtime flags shared by
+/// `fleet hunt` and `fleet resume`.
+fn fleet_options(spec: FleetSpec, flags: &Flags) -> Result<FleetOptions, String> {
     let exe = std::env::current_exe()
         .map_err(|error| format!("cannot locate the gauntlet binary: {error}"))?;
-    Ok(vec![exe.display().to_string(), "fleet-worker".to_string()])
+    let mut options = FleetOptions::new(
+        spec,
+        vec![exe.display().to_string(), "fleet-worker".to_string()],
+    );
+    options.quiet = flags.switch("--quiet");
+    options.events = flags.string("--events");
+    options.chaos_kill = flags
+        .string("--chaos-kill")
+        .as_deref()
+        .map(parse_pair)
+        .transpose()?;
+    options.chaos_stall = flags
+        .string("--chaos-stall")
+        .as_deref()
+        .map(parse_pair)
+        .transpose()?;
+    options.stop_after_checkpoints = flags.number("--stop-after-checkpoints")?;
+    options.lease_timeout = flags
+        .number("--lease-timeout-ms")?
+        .map(Duration::from_millis);
+    options.max_respawns = flags
+        .number("--max-respawns")?
+        .unwrap_or(options.max_respawns);
+    Ok(options)
 }
 
-#[derive(Default)]
-struct OutputPaths {
-    report: Option<String>,
-    triage: Option<String>,
-}
-
-/// Parse the runtime (non-spec) flags shared by hunt and resume.  Returns
-/// `true` when the flag was consumed.
-fn runtime_flag(
-    options: &mut FleetOptions,
-    outputs: &mut OutputPaths,
-    args: &[String],
-    index: &mut usize,
-) -> Result<bool, String> {
-    match args[*index].as_str() {
-        "--quiet" => options.quiet = true,
-        "--events" => options.events = Some(value(args, index, "--events")?.to_string()),
-        "--report" => outputs.report = Some(value(args, index, "--report")?.to_string()),
-        "--triage" => outputs.triage = Some(value(args, index, "--triage")?.to_string()),
-        "--chaos-kill" => {
-            options.chaos_kill = Some(parse_pair(value(args, index, "--chaos-kill")?)?)
-        }
-        "--chaos-stall" => {
-            options.chaos_stall = Some(parse_pair(value(args, index, "--chaos-stall")?)?)
-        }
-        "--stop-after-checkpoints" => {
-            options.stop_after_checkpoints = Some(parse_number(
-                "--stop-after-checkpoints",
-                value(args, index, "--stop-after-checkpoints")?,
-            )?)
-        }
-        "--lease-timeout-ms" => {
-            options.lease_timeout = Some(Duration::from_millis(parse_number(
-                "--lease-timeout-ms",
-                value(args, index, "--lease-timeout-ms")?,
-            )?))
-        }
-        "--max-respawns" => {
-            options.max_respawns =
-                parse_number("--max-respawns", value(args, index, "--max-respawns")?)?
-        }
-        _ => return Ok(false),
-    }
-    Ok(true)
-}
-
-fn finish(outcome: FleetOutcome, outputs: &OutputPaths) -> Result<(), String> {
-    if let Some(path) = &outputs.triage {
-        std::fs::write(path, outcome.triage.to_json())
+fn finish(outcome: FleetOutcome, flags: &Flags) -> Result<(), String> {
+    if let Some(path) = flags.string("--triage") {
+        std::fs::write(&path, outcome.triage.to_json())
             .map_err(|error| format!("cannot write triage `{path}`: {error}"))?;
     }
     match &outcome.report {
         Some(report) => {
-            if let Some(path) = &outputs.report {
-                std::fs::write(path, report.to_json())
-                    .map_err(|error| format!("cannot write report `{path}`: {error}"))?;
-            }
+            write_report(flags.string("--report"), report.to_json())?;
             print!("{}", report.render());
             print!("{}", outcome.triage.render());
             Ok(())
@@ -197,115 +303,48 @@ fn fleet(args: &[String]) -> Result<(), String> {
 }
 
 fn fleet_hunt(args: &[String]) -> Result<(), String> {
-    let mut spec = FleetSpec::default();
-    let mut options = FleetOptions::new(FleetSpec::default(), worker_command()?);
-    let mut outputs = OutputPaths::default();
-    let mut index = 0;
-    while index < args.len() {
-        if runtime_flag(&mut options, &mut outputs, args, &mut index)? {
-            index += 1;
-            continue;
-        }
-        match args[index].as_str() {
-            "--workers" => {
-                spec.workers = parse_number("--workers", value(args, &mut index, "--workers")?)?
-            }
-            "--jobs" => {
-                spec.jobs_per_worker = parse_number("--jobs", value(args, &mut index, "--jobs")?)?
-            }
-            "--seed-start" => {
-                spec.seed_start =
-                    parse_number("--seed-start", value(args, &mut index, "--seed-start")?)?
-            }
-            "--seeds" => {
-                spec.seed_count = parse_number("--seeds", value(args, &mut index, "--seeds")?)?
-            }
-            "--shard-size" => {
-                spec.shard_size =
-                    parse_number("--shard-size", value(args, &mut index, "--shard-size")?)?
-            }
-            "--compiler" => {
-                spec.compiler = CompilerSpec::from_name(value(args, &mut index, "--compiler")?)
-            }
-            "--generator" => spec.generator = value(args, &mut index, "--generator")?.to_string(),
-            "--mode" => {
-                let name = value(args, &mut index, "--mode")?;
-                spec.mode =
-                    FleetMode::from_name(name).ok_or_else(|| format!("unknown mode `{name}`"))?;
-            }
-            "--coverage" => spec.coverage = true,
-            "--corpus" => {
-                spec.corpus = Some(value(args, &mut index, "--corpus")?.to_string());
-                spec.coverage = true;
-            }
-            "--diversity" => {
-                spec.diversity = true;
-                spec.coverage = true;
-            }
-            "--mutants" => {
-                spec.mutants_per_seed =
-                    parse_number("--mutants", value(args, &mut index, "--mutants")?)?
-            }
-            "--reduce" => spec.reduce_reports = true,
-            "--target" => spec
-                .targets
-                .push(value(args, &mut index, "--target")?.to_string()),
-            "--checkpoint" => {
-                spec.checkpoint = Some(value(args, &mut index, "--checkpoint")?.to_string())
-            }
-            "--checkpoint-every" => {
-                spec.checkpoint_every = parse_number(
-                    "--checkpoint-every",
-                    value(args, &mut index, "--checkpoint-every")?,
-                )?
-            }
-            other => return Err(format!("unknown fleet hunt flag `{other}`")),
-        }
-        index += 1;
+    let valued = [HUNT_VALUED, FLEET_VALUED, RUNTIME_VALUED].concat();
+    let switches = [HUNT_SWITCHES, &["--diversity"]].concat();
+    let flags = parse("fleet hunt", args, &valued, &switches)?;
+    let defaults = FleetSpec::default();
+    let mut spec = spec_from_flags(&flags)?;
+    spec.workers = flags.number("--workers")?.unwrap_or(defaults.workers);
+    spec.shard_size = flags.number("--shard-size")?.unwrap_or(defaults.shard_size);
+    if let Some(name) = flags.string("--mode") {
+        spec.mode = FleetMode::from_name(&name).ok_or_else(|| format!("unknown mode `{name}`"))?;
     }
-    options.spec = spec;
-    finish(coordinator::hunt(options)?, &outputs)
+    spec.diversity = flags.switch("--diversity");
+    spec.coverage |= spec.diversity;
+    spec.checkpoint = flags.string("--checkpoint");
+    spec.checkpoint_every = flags
+        .number("--checkpoint-every")?
+        .unwrap_or(defaults.checkpoint_every);
+    finish(coordinator::hunt(fleet_options(spec, &flags)?)?, &flags)
 }
 
 fn fleet_resume(args: &[String]) -> Result<(), String> {
-    let mut options = FleetOptions::new(FleetSpec::default(), worker_command()?);
-    let mut outputs = OutputPaths::default();
-    let mut checkpoint_path: Option<String> = None;
-    let mut index = 0;
-    while index < args.len() {
-        if runtime_flag(&mut options, &mut outputs, args, &mut index)? {
-            index += 1;
-            continue;
-        }
-        match args[index].as_str() {
-            "--checkpoint" => {
-                checkpoint_path = Some(value(args, &mut index, "--checkpoint")?.to_string())
-            }
-            other => return Err(format!("unknown fleet resume flag `{other}`")),
-        }
-        index += 1;
-    }
-    let path = checkpoint_path.ok_or("fleet resume needs --checkpoint PATH")?;
+    let valued = [
+        &["--checkpoint", "--events", "--report", "--triage"],
+        RUNTIME_VALUED,
+    ]
+    .concat();
+    let flags = parse("fleet resume", args, &valued, &["--quiet"])?;
+    let path = flags
+        .string("--checkpoint")
+        .ok_or("fleet resume needs --checkpoint PATH")?;
     let checkpoint = Checkpoint::load(&path)?;
     if checkpoint.complete {
         println!("fleet: checkpoint `{path}` is already complete");
     }
-    finish(coordinator::resume(options, checkpoint)?, &outputs)
+    let options = fleet_options(FleetSpec::default(), &flags)?;
+    finish(coordinator::resume(options, checkpoint)?, &flags)
 }
 
 fn fleet_status(args: &[String]) -> Result<(), String> {
-    let mut checkpoint_path: Option<String> = None;
-    let mut index = 0;
-    while index < args.len() {
-        match args[index].as_str() {
-            "--checkpoint" => {
-                checkpoint_path = Some(value(args, &mut index, "--checkpoint")?.to_string())
-            }
-            other => return Err(format!("unknown fleet status flag `{other}`")),
-        }
-        index += 1;
-    }
-    let path = checkpoint_path.ok_or("fleet status needs --checkpoint PATH")?;
+    let flags = parse("fleet status", args, &["--checkpoint"], &[])?;
+    let path = flags
+        .string("--checkpoint")
+        .ok_or("fleet status needs --checkpoint PATH")?;
     print!("{}", Checkpoint::load(&path)?.render_status());
     Ok(())
 }
