@@ -1,7 +1,7 @@
 //! The committed benchmark trajectory: every stage of the campaign loop
 //! (generate → compile → validate → mutate) timed over a fixed-seed
 //! workload, emitted as machine-readable JSON (the `BENCH_pr*.json` files
-//! at the repo root, currently `BENCH_pr10.json`) so performance claims are
+//! at the repo root, currently `BENCH_pr14.json`) so performance claims are
 //! *committed* next to the code they describe and regressions show up in
 //! review diffs.
 //!
@@ -12,7 +12,7 @@
 //!
 //! * default — run the workload (50 seeds) and print the JSON to stdout;
 //! * `--out PATH` — also write the JSON to `PATH` (use
-//!   `--seeds 50 --out BENCH_pr10.json` to regenerate the committed file,
+//!   `--seeds 50 --out BENCH_pr14.json` to regenerate the committed file,
 //!   see docs/REPRODUCING.md);
 //! * `--compare BASELINE` — gate mode: after measuring, compare against a
 //!   previously committed trajectory and exit nonzero on regression.

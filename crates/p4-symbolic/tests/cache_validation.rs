@@ -221,3 +221,50 @@ fn same_condition_ite_absorption_discharges_structurally() {
     );
     assert_structural_equal(&before, &after, "same-condition ite absorption");
 }
+
+/// The pinned hard-miter corpus: reference-compiler seeds whose validation
+/// once dominated campaign CPU (74, 494, 224) or never decided (882).
+const HARD_MITER_SEEDS: [u64; 4] = [74, 494, 224, 882];
+
+/// About 4× the corpus total with live VSIDS (2004 + 524 + 359 + 155 =
+/// 3042).  A core that decides in static variable order spends over 30,000
+/// conflicts on seed 74 alone.
+const HARD_MITER_CONFLICT_CEILING: u64 = 12_000;
+
+/// Pin: SAT conflicts over the hard-miter corpus, summed over the last
+/// solver query of every pass pair that reaches the solver (one
+/// `ValidationSession` per seed).  Conflict counts are deterministic, so a
+/// solver or fold regression fails here without wall-clock noise.  The
+/// ceiling is checked after every pair, so a regressed core fails fast
+/// instead of grinding through an undecidable-in-practice query.
+#[test]
+fn pinned_hard_miters_stay_under_the_conflict_ceiling() {
+    let mut total = 0u64;
+    for seed in HARD_MITER_SEEDS {
+        let program = RandomProgramGenerator::new(GeneratorConfig::tiny(), seed).generate();
+        let compiled = p4c::Compiler::reference()
+            .compile(&program)
+            .unwrap_or_else(|e| panic!("seed {seed}: reference compiler failed: {e}"));
+        let mut session = ValidationSession::new();
+        let mut seed_conflicts = 0;
+        for (before, after) in compiled.pass_pairs() {
+            let solver_checks = session.stats().solver_checks;
+            let verdict = session.check_pair(&before.program, &after.program);
+            if session.stats().solver_checks > solver_checks {
+                seed_conflicts += session.solver_stats().conflicts;
+            }
+            assert!(
+                !matches!(verdict, Ok(Equivalence::NotEqual(_))),
+                "seed {seed}, pass {}: reference pass flagged",
+                after.pass_name
+            );
+            assert!(
+                total + seed_conflicts <= HARD_MITER_CONFLICT_CEILING,
+                "seed {seed}, pass {}: {} conflicts over the corpus so far, ceiling {HARD_MITER_CONFLICT_CEILING}",
+                after.pass_name,
+                total + seed_conflicts
+            );
+        }
+        total += seed_conflicts;
+    }
+}

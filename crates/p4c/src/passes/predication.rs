@@ -10,6 +10,8 @@
 
 use crate::error::Diagnostic;
 use crate::pass::{Pass, PassArea};
+use crate::passes::util::lvalue_parts;
+use p4_ir::visit::{walk_expr, Visitor};
 use p4_ir::{Block, Declaration, Expr, Program, Statement};
 
 /// The predication pass.
@@ -45,7 +47,8 @@ impl Pass for Predication {
 
 /// Rewrites every `if` whose branches consist solely of assignments into
 /// predicated assignments.  `if` statements containing anything else (calls,
-/// exits, declarations) are left untouched.
+/// exits, declarations), or assigning to something the condition reads, are
+/// left untouched.
 fn predicate_block(block: &mut Block) {
     let mut rewritten = Vec::with_capacity(block.statements.len());
     for stmt in block.statements.drain(..) {
@@ -61,8 +64,16 @@ fn predicate_statement(stmt: Statement, out: &mut Vec<Statement>) {
             then_branch,
             else_branch,
         } => {
-            let then_assigns = extract_assignments(&then_branch);
-            let else_assigns = else_branch.as_deref().map(extract_assignments);
+            // Every predicated assignment re-evaluates `cond`, so a branch
+            // that writes what `cond` reads would change later predicates.
+            let independent = |assigns: Vec<(Expr, Expr)>| {
+                let writes_cond = assigns.iter().any(|(lhs, _)| writes_read_chain(lhs, &cond));
+                (!writes_cond).then_some(assigns)
+            };
+            let then_assigns = extract_assignments(&then_branch).and_then(independent);
+            let else_assigns = else_branch
+                .as_deref()
+                .map(|e| extract_assignments(e).and_then(independent));
             match (then_assigns, else_assigns) {
                 (Some(thens), None) if else_branch.is_none() => {
                     crate::coverage::record("Predication", "predicate_then");
@@ -112,6 +123,49 @@ fn predicated(cond: Expr, lhs: Expr, rhs: Expr, on_true: bool) -> Statement {
     Statement::Assign {
         lhs,
         rhs: Expr::ternary(cond, then_expr, else_expr),
+    }
+}
+
+/// Whether assigning to `lhs` may change the value of `cond`: the l-value's
+/// member chain (a slice's base chain) is a prefix of, or has as a prefix, a
+/// member chain `cond` reads.  An l-value with no chain overlaps everything.
+fn writes_read_chain(lhs: &Expr, cond: &Expr) -> bool {
+    let target = match lhs {
+        Expr::Slice { base, .. } => base,
+        other => other,
+    };
+    let Some(written) = lvalue_parts(target) else {
+        return true;
+    };
+    let mut reads = ChainReads::default();
+    reads.visit_expr(cond);
+    reads.chains.iter().any(|read| {
+        let common = read.len().min(written.len());
+        read[..common] == written[..common]
+    })
+}
+
+/// The maximal member chains an expression reads, including call receivers
+/// (`hdr.h` in `hdr.h.isValid()`).
+#[derive(Default)]
+struct ChainReads {
+    chains: Vec<Vec<String>>,
+}
+
+impl Visitor for ChainReads {
+    fn visit_expr(&mut self, expr: &Expr) {
+        if let Some(chain) = lvalue_parts(expr) {
+            self.chains.push(chain);
+            return;
+        }
+        if let Expr::Call(call) = expr {
+            if let Some((_, receiver)) = call.target.split_last() {
+                if !receiver.is_empty() {
+                    self.chains.push(receiver.to_vec());
+                }
+            }
+        }
+        walk_expr(self, expr);
     }
 }
 
@@ -188,6 +242,43 @@ mod tests {
         let text = print_program(&program);
         assert!(text.contains("? 8w1 : hdr.h.b"));
         assert!(text.contains("? hdr.h.b : 8w2"));
+    }
+
+    /// `if (sm.egress_spec == 320) { sm.egress_spec = 347; } else { hdr.h.a = 1; }`
+    /// must not become two predicated assignments: the first would change
+    /// `sm.egress_spec`, so the else-side predicate would read the new value.
+    #[test]
+    fn leaves_ifs_whose_branches_write_the_condition_untouched() {
+        let cond = Expr::binary(
+            BinOp::Eq,
+            Expr::dotted(&["sm", "egress_spec"]),
+            Expr::uint(320, 9),
+        );
+        let writes_cond = Statement::if_else(
+            cond.clone(),
+            Statement::Block(Block::new(vec![Statement::assign(
+                Expr::dotted(&["sm", "egress_spec"]),
+                Expr::uint(347, 9),
+            )])),
+            Statement::Block(Block::new(vec![Statement::assign(
+                Expr::dotted(&["hdr", "h", "a"]),
+                Expr::uint(1, 8),
+            )])),
+        );
+        // A write to a prefix of a read chain (the whole struct) overlaps too.
+        let writes_prefix = Statement::if_then(
+            cond,
+            Statement::Block(Block::new(vec![Statement::assign(
+                Expr::path("sm"),
+                Expr::path("sm_copy"),
+            )])),
+        );
+        let locals = action_with_body(vec![writes_cond, writes_prefix]);
+        let mut program = builder::v1model_program(locals, Block::empty());
+        Predication.run(&mut program).unwrap();
+        let text = print_program(&program);
+        assert_eq!(text.matches("if ((sm.egress_spec == 9w320)) {").count(), 2);
+        assert!(!text.contains('?'), "nothing may be predicated:\n{text}");
     }
 
     #[test]

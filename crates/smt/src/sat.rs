@@ -63,10 +63,6 @@ impl SatResult {
 #[derive(Debug)]
 struct Clause {
     lits: Vec<Lit>,
-    /// Whether the clause was learned during conflict analysis (kept for
-    /// statistics and future clause-database reduction).
-    #[allow(dead_code)]
-    learned: bool,
 }
 
 const UNASSIGNED: i8 = 0;
@@ -142,7 +138,7 @@ impl SolverConfig {
 }
 
 /// The CDCL solver.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SatSolver {
     clauses: Vec<Clause>,
     /// watches[lit.index()] = clause indices watching `lit`.
@@ -168,6 +164,14 @@ pub struct SatSolver {
     pub propagations: u64,
 }
 
+/// `Default` is [`SatSolver::new`]: there is no way to build a core whose
+/// VSIDS activities never move.
+impl Default for SatSolver {
+    fn default() -> SatSolver {
+        SatSolver::new()
+    }
+}
+
 impl SatSolver {
     pub fn new() -> SatSolver {
         SatSolver::with_config(SolverConfig::default())
@@ -176,9 +180,24 @@ impl SatSolver {
     /// A solver using the given restart/decision configuration.
     pub fn with_config(config: SolverConfig) -> SatSolver {
         SatSolver {
+            clauses: Vec::new(),
+            watches: Vec::new(),
+            assign: Vec::new(),
+            level: Vec::new(),
+            reason: Vec::new(),
+            trail: Vec::new(),
+            trail_lim: Vec::new(),
+            qhead: 0,
+            activity: Vec::new(),
+            // A zero increment would leave every activity at zero, so
+            // `decide` would fall back to static variable order.
             var_inc: 1.0,
+            phase: Vec::new(),
             config,
-            ..SatSolver::default()
+            trivially_unsat: false,
+            conflicts: 0,
+            decisions: 0,
+            propagations: 0,
         }
     }
 
@@ -250,10 +269,7 @@ impl SatSolver {
                 let idx = self.clauses.len();
                 self.watches[reduced[0].index()].push(idx);
                 self.watches[reduced[1].index()].push(idx);
-                self.clauses.push(Clause {
-                    lits: reduced,
-                    learned: false,
-                });
+                self.clauses.push(Clause { lits: reduced });
             }
         }
     }
@@ -444,10 +460,7 @@ impl SatSolver {
         self.watches[learned[0].index()].push(idx);
         self.watches[learned[1].index()].push(idx);
         let asserting = learned[0];
-        self.clauses.push(Clause {
-            lits: learned,
-            learned: true,
-        });
+        self.clauses.push(Clause { lits: learned });
         let ok = self.enqueue(asserting, Some(idx));
         debug_assert!(ok, "asserting literal must be enqueueable after backjump");
     }
@@ -672,14 +685,11 @@ mod tests {
         }
     }
 
-    /// Pigeonhole principle PHP(n+1, n) is unsatisfiable; n=3 keeps it fast
-    /// but still requires real conflict analysis.
-    #[test]
-    fn pigeonhole_is_unsat() {
-        let pigeons = 4;
-        let holes = 3;
+    /// Adds the pigeonhole principle PHP(holes+1, holes), which is
+    /// unsatisfiable, to `s`.
+    fn add_pigeonhole(s: &mut SatSolver, holes: usize) {
+        let pigeons = holes + 1;
         let var = |p: usize, h: usize| (p * holes + h) as Var;
-        let mut s = SatSolver::new();
         for _ in 0..pigeons * holes {
             s.new_var();
         }
@@ -696,7 +706,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// PHP(4, 3) is small enough to be fast but still requires real
+    /// conflict analysis.
+    #[test]
+    fn pigeonhole_is_unsat() {
+        let mut s = SatSolver::new();
+        add_pigeonhole(&mut s, 3);
         assert_eq!(s.solve(), SatResult::Unsat);
+    }
+
+    /// Every way of building a core gets live VSIDS: a default-built core
+    /// bumps activities and searches exactly like `SatSolver::new()`.  A
+    /// core with a zero activity increment decides in static variable order
+    /// and takes a different (on generated miters, far longer) search.
+    #[test]
+    fn default_core_has_live_vsids_and_searches_like_new() {
+        let mut built = SatSolver::default();
+        let mut reference = SatSolver::new();
+        add_pigeonhole(&mut built, 5);
+        add_pigeonhole(&mut reference, 5);
+        assert_eq!(built.solve(), SatResult::Unsat);
+        assert_eq!(reference.solve(), SatResult::Unsat);
+        assert!(built.conflicts > 0);
+        assert!(
+            built.activity.iter().any(|&a| a > 0.0),
+            "conflict analysis must bump variable activities"
+        );
+        assert_eq!(
+            (built.conflicts, built.decisions, built.propagations),
+            (
+                reference.conflicts,
+                reference.decisions,
+                reference.propagations
+            )
+        );
     }
 
     #[test]
